@@ -702,6 +702,51 @@ func BenchmarkRollupDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkFedViewRefresh measures the domain path's view refresh: one
+// member report into a Sum rollup of keys keys, mounted with
+// MountRollup, then one Pump folding it into a standing view over
+// fedRollupTable. A report changes one row in place, so it publishes
+// one row event and the pump re-reads that row alone: ns/op must not
+// grow with the key count, and every report folds exactly one delta.
+func BenchmarkFedViewRefresh(b *testing.B) {
+	for _, keys := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+			tree := &mib.Tree{}
+			r := federation.NewRollup(federation.Sum())
+			if err := federation.MountRollup(tree, r, federation.OIDFederation); err != nil {
+				b.Fatal(err)
+			}
+			names := make([]string, keys)
+			for i := range names {
+				names[i] = fmt.Sprintf("k%04d", i)
+				r.Report("leaf", names[i], "0", 0)
+			}
+			a := incr.New(incr.Config{Tree: tree, Schema: vdl.MIB2().AddFederation()})
+			defer a.Close()
+			if _, err := a.Define(`view domainKeys {
+  from fedRollupTable;
+  select fedRollupKey, fedRollupValue, fedRollupMembers;
+}`); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := a.Query("domainKeys"); err != nil {
+				b.Fatal(err)
+			}
+			vals := [2]string{"1", "2"}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Report("leaf", names[i%keys], vals[(i/keys)%2], int64(i))
+				a.Pump()
+			}
+			b.StopTimer()
+			if st := a.Stats(); st.Recomputes != 0 || st.ChangesLost != 0 || st.DeltasFolded != uint64(b.N) {
+				b.Fatalf("%d reports: %+v, want exactly one delta folded per report", b.N, st)
+			}
+		})
+	}
+}
+
 // BenchmarkPeerHeartbeatBatch measures one coalesced sync frame over
 // loopback TCP: a single OpPeerSync round trip carrying the heartbeat
 // plus 32 rollup deltas — the per-beat upstream cost of a federation

@@ -43,51 +43,45 @@ const (
 )
 
 // Handler serves a Node as a MIB subtree. Create with NewHandler; mount
-// with mib.Tree.Mount (or the Mount convenience).
+// with mib.Tree.Mount (or the Mount convenience). Each operation reads
+// only the tables it touches; the rollup arc is a RollupHandler.
 type Handler struct {
-	node *Node
+	node   *Node
+	rollup RollupHandler
 }
 
 // NewHandler returns a handler over node.
-func NewHandler(node *Node) *Handler { return &Handler{node: node} }
+func NewHandler(node *Node) *Handler {
+	return &Handler{node: node, rollup: RollupHandler{r: node.rollup}}
+}
 
-// Mount attaches node's federation tables under prefix in tree and
-// wires the rollup's change feed into the tree's change hub, so
+// Mount attaches node's federation tables under prefix in tree and has
+// the rollup publish its row changes into the tree's change hub, so
 // federation-scoped views refresh incrementally as reports arrive.
 func Mount(tree *mib.Tree, node *Node, prefix oid.OID) error {
 	if err := tree.Mount(prefix, NewHandler(node)); err != nil {
 		return err
 	}
-	WatchRollup(tree, node.Rollup(), prefix)
+	node.rollup.Watch(tree.Changes(), append(prefix.Clone(), tableRollup))
 	return nil
-}
-
-// WatchRollup publishes a rollup-table reset into tree's change hub on
-// every combined-value change. Row indexes are 1-based positions in the
-// sorted snapshot — any change can renumber rows — so the event is a
-// whole-table reset and consumers diff the table.
-func WatchRollup(tree *mib.Tree, r *Rollup, prefix oid.OID) {
-	entry := append(prefix.Clone(), tableRollup)
-	hub := tree.Changes()
-	r.OnChange(func() {
-		hub.Publish(mib.Change{Kind: mib.ChangeReset, Table: entry})
-	})
 }
 
 // MountRollup mounts a bare Rollup's table under prefix — the
 // manager-side mount when no Node exists (a harness or top-level
-// manager aggregating reports directly) — and wires its change feed
-// into the tree's hub. The subtree shape matches a full federation
-// mount: only the rollup table (<prefix>.2) is populated.
+// manager aggregating reports directly) — and has it publish its row
+// changes into the tree's hub. The subtree shape matches a full
+// federation mount: only the rollup table (<prefix>.2) is populated.
 func MountRollup(tree *mib.Tree, r *Rollup, prefix oid.OID) error {
 	if err := tree.Mount(prefix, &RollupHandler{r: r}); err != nil {
 		return err
 	}
-	WatchRollup(tree, r, prefix)
+	r.Watch(tree.Changes(), append(prefix.Clone(), tableRollup))
 	return nil
 }
 
-// RollupHandler serves a bare Rollup as the federation rollup table.
+// RollupHandler serves a Rollup as the federation rollup table. Gets
+// and GetNexts read one cell by position under the rollup lock; a walk
+// reads one locked snapshot, so it never sees a half-inserted key.
 type RollupHandler struct{ r *Rollup }
 
 // GetRel implements mib.Handler. rel is <table>.<col>.<idx> with table
@@ -96,35 +90,109 @@ func (h *RollupHandler) GetRel(rel oid.OID) (mib.Value, bool) {
 	if len(rel) != 3 || rel[0] != tableRollup {
 		return mib.Value{}, false
 	}
-	return rollupCell(h.r.Rows(), rel[1], rel[2])
+	return h.r.Cell(rel[1], rel[2])
 }
 
 // NextRel implements mib.Handler.
 func (h *RollupHandler) NextRel(rel oid.OID) (oid.OID, mib.Value, bool) {
-	rows := h.r.Rows()
-	var sub oid.OID
-	if len(rel) > 0 {
-		if rel[0] > tableRollup {
-			return nil, mib.Value{}, false
-		}
-		if rel[0] == tableRollup {
-			sub = rel[1:]
-		}
-	}
-	if col, idx := obsmib.NextCell(sub, rollupCols, len(rows)); col != 0 {
-		if v, ok := rollupCell(rows, col, idx); ok {
-			return oid.OID{tableRollup, col, idx}, v, true
-		}
+	return h.AppendNextRel(nil, rel)
+}
+
+// AppendNextRel implements mib.AppendNexter.
+func (h *RollupHandler) AppendNextRel(dst oid.OID, rel oid.OID) (oid.OID, mib.Value, bool) {
+	if table, sub := splitRel(rel, tableRollup, tableRollup); table != 0 {
+		return h.appendNext(dst, sub)
 	}
 	return nil, mib.Value{}, false
 }
 
-// memberCell returns the members-table value at (col, idx).
-func memberCell(rows []MemberStatus, col, idx uint32) (mib.Value, bool) {
+// appendNext appends the first rollup cell strictly after sub (relative
+// to the table arc) to dst.
+func (h *RollupHandler) appendNext(dst, sub oid.OID) (oid.OID, mib.Value, bool) {
+	r := h.r
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	col, idx := obsmib.NextCell(sub, rollupCols, len(r.sorted))
+	if col == 0 {
+		return nil, mib.Value{}, false
+	}
+	v, ok := rollupCell(r.rowLocked(r.sorted[idx-1]), col)
+	return append(dst, tableRollup, col, idx), v, ok
+}
+
+// NextRelN implements mib.BulkHandler.
+func (h *RollupHandler) NextRelN(rel oid.OID, max int, visit func(rel oid.OID, v mib.Value) bool) int {
+	w := &walker{visit: visit, max: max}
+	if table, sub := splitRel(rel, tableRollup, tableRollup); table != 0 {
+		walkRows(w, tableRollup, sub, rollupCols, h.r.Rows(), rollupCell)
+	}
+	return w.n
+}
+
+// Cell returns the rollup-table value at column col of 1-based row idx.
+func (r *Rollup) Cell(col, idx uint32) (mib.Value, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if idx < 1 || int(idx) > len(r.sorted) {
+		return mib.Value{}, false
+	}
+	return rollupCell(r.rowLocked(r.sorted[idx-1]), col)
+}
+
+// splitRel returns the table in [first, last] that the successor of rel
+// lies in, with rel's remainder within that table; table 0 means rel
+// lies past the last table.
+func splitRel(rel oid.OID, first, last uint32) (uint32, oid.OID) {
+	switch {
+	case len(rel) == 0 || rel[0] < first:
+		return first, nil
+	case rel[0] > last:
+		return 0, nil
+	}
+	return rel[0], rel[1:]
+}
+
+// cellAt returns column col of 1-based row idx of rows.
+func cellAt[R any](rows []R, cell func(R, uint32) (mib.Value, bool), col, idx uint32) (mib.Value, bool) {
 	if idx < 1 || int(idx) > len(rows) {
 		return mib.Value{}, false
 	}
-	m := rows[idx-1]
+	return cell(rows[idx-1], col)
+}
+
+// nextAt appends the first cell of a table snapshot strictly after sub
+// (relative to the table arc) to dst.
+func nextAt[R any](dst oid.OID, table uint32, sub oid.OID, cols int, rows []R, cell func(R, uint32) (mib.Value, bool)) (oid.OID, mib.Value, bool) {
+	col, idx := obsmib.NextCell(sub, cols, len(rows))
+	if col == 0 {
+		return nil, mib.Value{}, false
+	}
+	v, ok := cell(rows[idx-1], col)
+	return append(dst, table, col, idx), v, ok
+}
+
+// walker carries one bulk walk across table snapshots: the visit
+// callback, the instance budget (max <= 0 means none) and the count.
+type walker struct {
+	visit    func(oid.OID, mib.Value) bool
+	max, n   int
+	finished bool // visit declined or the budget is spent
+}
+
+// walkRows visits the cells of one table snapshot strictly after sub
+// (relative to the table arc) in column-major order.
+func walkRows[R any](w *walker, table uint32, sub oid.OID, cols int, rows []R, cell func(R, uint32) (mib.Value, bool)) {
+	rel := oid.OID{table, 0, 0}
+	for col, idx := obsmib.NextCell(sub, cols, len(rows)); col != 0 && !w.finished; col, idx = obsmib.NextCell(rel[1:], cols, len(rows)) {
+		rel[1], rel[2] = col, idx
+		v, _ := cell(rows[idx-1], col)
+		w.n++
+		w.finished = !w.visit(rel, v) || w.n == w.max
+	}
+}
+
+// memberCell returns column col of a members-table row.
+func memberCell(m MemberStatus, col uint32) (mib.Value, bool) {
 	switch col {
 	case 1:
 		return mib.Str(m.Name), true
@@ -138,12 +206,8 @@ func memberCell(rows []MemberStatus, col, idx uint32) (mib.Value, bool) {
 	return mib.Value{}, false
 }
 
-// rollupCell returns the rollup-table value at (col, idx).
-func rollupCell(rows []RollupRow, col, idx uint32) (mib.Value, bool) {
-	if idx < 1 || int(idx) > len(rows) {
-		return mib.Value{}, false
-	}
-	r := rows[idx-1]
+// rollupCell returns column col of a rollup-table row.
+func rollupCell(r RollupRow, col uint32) (mib.Value, bool) {
 	switch col {
 	case 1:
 		return mib.Str(r.Key), true
@@ -157,12 +221,8 @@ func rollupCell(rows []RollupRow, col, idx uint32) (mib.Value, bool) {
 	return mib.Value{}, false
 }
 
-// bundleCell returns the bundles-table value at (col, idx).
-func bundleCell(rows []rds.BundleStatus, col, idx uint32) (mib.Value, bool) {
-	if idx < 1 || int(idx) > len(rows) {
-		return mib.Value{}, false
-	}
-	b := rows[idx-1]
+// bundleCell returns column col of a bundles-table row.
+func bundleCell(b rds.BundleStatus, col uint32) (mib.Value, bool) {
 	switch col {
 	case 1:
 		return mib.Str(b.Lineage), true
@@ -183,11 +243,11 @@ func (h *Handler) GetRel(rel oid.OID) (mib.Value, bool) {
 	}
 	switch rel[0] {
 	case tableMembers:
-		return memberCell(h.node.MembersSnapshot(), rel[1], rel[2])
+		return cellAt(h.node.MembersSnapshot(), memberCell, rel[1], rel[2])
 	case tableRollup:
-		return rollupCell(h.node.rollup.Rows(), rel[1], rel[2])
+		return h.rollup.GetRel(rel)
 	case tableBundles:
-		return bundleCell(h.node.BundleStatuses(), rel[1], rel[2])
+		return cellAt(h.node.BundleStatuses(), bundleCell, rel[1], rel[2])
 	}
 	return mib.Value{}, false
 }
@@ -198,49 +258,43 @@ func (h *Handler) NextRel(rel oid.OID) (oid.OID, mib.Value, bool) {
 }
 
 // AppendNextRel implements mib.AppendNexter. Tables walk in order,
-// each column-major via obsmib.NextCell.
+// each column-major via obsmib.NextCell; an exhausted (or empty) table
+// falls into the next one from its start.
 func (h *Handler) AppendNextRel(dst oid.OID, rel oid.OID) (oid.OID, mib.Value, bool) {
-	members := h.node.MembersSnapshot()
-	rollup := h.node.rollup.Rows()
-	bundles := h.node.BundleStatuses()
-
-	table := uint32(tableMembers)
-	var sub oid.OID
-	if len(rel) > 0 {
-		if rel[0] > tableBundles {
-			return nil, mib.Value{}, false
-		}
-		if rel[0] >= tableMembers {
-			table = rel[0]
-			sub = rel[1:]
-		}
-	}
+	table, sub := splitRel(rel, tableMembers, tableBundles)
 	if table == tableMembers {
-		if col, idx := obsmib.NextCell(sub, memberCols, len(members)); col != 0 {
-			v, ok := memberCell(members, col, idx)
-			if ok {
-				return append(dst, tableMembers, col, idx), v, true
-			}
+		if out, v, ok := nextAt(dst, tableMembers, sub, memberCols, h.node.MembersSnapshot(), memberCell); ok {
+			return out, v, true
 		}
-		// Members table exhausted (or empty): fall into the rollup
-		// table from its start.
 		table, sub = tableRollup, nil
 	}
 	if table == tableRollup {
-		if col, idx := obsmib.NextCell(sub, rollupCols, len(rollup)); col != 0 {
-			v, ok := rollupCell(rollup, col, idx)
-			if ok {
-				return append(dst, tableRollup, col, idx), v, true
-			}
+		if out, v, ok := h.rollup.appendNext(dst, sub); ok {
+			return out, v, true
 		}
-		// Rollup table exhausted: fall into the bundles table.
-		sub = nil
+		table, sub = tableBundles, nil
 	}
-	if col, idx := obsmib.NextCell(sub, bundleCols, len(bundles)); col != 0 {
-		v, ok := bundleCell(bundles, col, idx)
-		if ok {
-			return append(dst, tableBundles, col, idx), v, true
-		}
+	if table == tableBundles {
+		return nextAt(dst, tableBundles, sub, bundleCols, h.node.BundleStatuses(), bundleCell)
 	}
 	return nil, mib.Value{}, false
+}
+
+// NextRelN implements mib.BulkHandler: one snapshot per table walked,
+// taken only when the walk reaches that table.
+func (h *Handler) NextRelN(rel oid.OID, max int, visit func(rel oid.OID, v mib.Value) bool) int {
+	table, sub := splitRel(rel, tableMembers, tableBundles)
+	w := &walker{visit: visit, max: max, finished: table == 0}
+	if table == tableMembers && !w.finished {
+		walkRows(w, tableMembers, sub, memberCols, h.node.MembersSnapshot(), memberCell)
+		table, sub = tableRollup, nil
+	}
+	if table == tableRollup && !w.finished {
+		walkRows(w, tableRollup, sub, rollupCols, h.node.rollup.Rows(), rollupCell)
+		table, sub = tableBundles, nil
+	}
+	if table == tableBundles && !w.finished {
+		walkRows(w, tableBundles, sub, bundleCols, h.node.BundleStatuses(), bundleCell)
+	}
+	return w.n
 }

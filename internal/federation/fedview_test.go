@@ -19,30 +19,89 @@ func TestFedRollupOIDAligned(t *testing.T) {
 	}
 }
 
-// TestRollupOnChange checks the change callback fires on accepted
-// changes only.
+// TestRollupOnChange checks the rollup publishes into a watched hub on
+// accepted changes only: one row event at the key's 1-based position
+// when a row's cells move, one reset when a key insert or delete
+// renumbers rows.
 func TestRollupOnChange(t *testing.T) {
+	var hub mib.ChangeHub
+	sub := hub.Subscribe(64)
+	defer sub.Close()
+	entry := append(OIDFederation.Clone(), tableRollup)
 	r := NewRollup(Sum())
-	fired := 0
-	r.OnChange(func() { fired++ })
+	r.Watch(&hub, entry)
+	expect := func(what string, want ...string) {
+		t.Helper()
+		var got []string
+		for {
+			c, ok := sub.Next()
+			if !ok {
+				break
+			}
+			if !c.Table.Equal(entry) {
+				t.Fatalf("%s: change under %v, want %v", what, c.Table, entry)
+			}
+			got = append(got, c.Kind.String()+c.Index.String())
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: changes %v, want %v", what, got, want)
+		}
+	}
 	r.Report("a", "conns", "3", 1)
-	if fired != 1 {
-		t.Fatalf("after first report fired=%d", fired)
-	}
+	expect("first report", "reset")
 	r.Report("a", "conns", "3", 2) // same combined value: no change
-	if fired != 1 {
-		t.Fatalf("after no-op report fired=%d", fired)
-	}
+	expect("no-op report")
 	r.Report("b", "conns", "2", 3)
-	if fired != 2 {
-		t.Fatalf("after second member fired=%d", fired)
+	expect("second member", "row1")
+	r.Report("a", "alpha", "1", 4) // sorts before conns
+	expect("new key", "reset")
+	if upd := r.DropMember("b"); len(upd) != 1 {
+		t.Fatalf("drop upd=%v", upd)
 	}
-	if upd := r.DropMember("b"); len(upd) == 0 || fired != 3 {
-		t.Fatalf("after drop upd=%v fired=%d", upd, fired)
+	expect("drop", "row2")
+	if upd := r.DropMember("nobody"); len(upd) != 0 {
+		t.Fatalf("vacuous drop upd=%v", upd)
 	}
-	if upd := r.DropMember("nobody"); len(upd) != 0 || fired != 3 {
-		t.Fatalf("after vacuous drop upd=%v fired=%d", upd, fired)
+	expect("vacuous drop")
+	r.SetCombiner("conns", Max()) // single contributor: value unchanged
+	expect("no-op combiner swap")
+	r.DropMember("a")
+	expect("last member", "reset")
+}
+
+// TestRollupNewContributorSameValue: a second member whose report
+// leaves the Sum unchanged still changes the row's contributor count,
+// and a maintained view must show it.
+func TestRollupNewContributorSameValue(t *testing.T) {
+	tree := &mib.Tree{}
+	r := NewRollup(Sum())
+	if err := MountRollup(tree, r, OIDFederation); err != nil {
+		t.Fatal(err)
 	}
+	a := incr.New(incr.Config{Tree: tree, Schema: vdl.MIB2().AddFederation()})
+	defer a.Close()
+	if _, err := a.Define(`view keys {
+  from fedRollupTable;
+  select fedRollupKey, fedRollupValue, fedRollupMembers;
+}`); err != nil {
+		t.Fatal(err)
+	}
+	expect := func(want string) {
+		t.Helper()
+		res, err := a.Query("keys")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || fmt.Sprint(res.Rows[0].Cells) != want {
+			t.Fatalf("view rows %+v, want %s", res.Rows, want)
+		}
+	}
+	r.Report("a", "load", "5", 1)
+	expect("[load 5 1]")
+	if _, changed := r.Report("b", "load", "0", 2); changed {
+		t.Fatal("a zero under Sum moved the combined value")
+	}
+	expect("[load 5 2]")
 }
 
 // TestFederationScopedViewIncremental mounts a bare rollup on a manager
@@ -107,8 +166,13 @@ func TestFederationScopedViewIncremental(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 keys with >1 contributor", len(res.Rows))
 	}
-	// Member death renumbers rows; the reset-and-diff path must converge.
+	// Member death changes rows in place (row events), and the last
+	// contributor's death deletes keys (a reset); both must converge.
 	r.DropMember("leaf-3")
+	check()
+	r.Report("solo", "audit", "1", 99)
+	check()
+	r.DropMember("solo")
 	check()
 	st := a.Stats()
 	if st.DeltasFolded == 0 {

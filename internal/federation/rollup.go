@@ -3,6 +3,7 @@ package federation
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -10,6 +11,8 @@ import (
 
 	"mbd/internal/dpl"
 	"mbd/internal/elastic"
+	"mbd/internal/mib"
+	"mbd/internal/oid"
 	"mbd/internal/rds"
 )
 
@@ -281,6 +284,7 @@ type RollupStats struct {
 // rollupKey holds one key's per-member latest values, its combined
 // result, and the combiner's materialized delta state.
 type rollupKey struct {
+	name      string
 	vals      map[string]MemberValue
 	state     KeyState
 	combined  string
@@ -294,13 +298,22 @@ type rollupKey struct {
 // crash replaces its old contribution instead of double-counting, and a
 // member declared dead is dropped so the rollup converges back to the
 // live membership.
+//
+// Keys are also kept in a sorted slice, so the rollup table's row i
+// (1-based) is sorted[i-1] and cells are served by position without a
+// snapshot or a sort.
 type Rollup struct {
 	mu        sync.Mutex
 	def       Combiner
 	combiners map[string]Combiner
 	keys      map[string]*rollupKey
+	sorted    []*rollupKey // ascending by name
 	stats     RollupStats
-	onChange  []func()
+
+	// hub and entry are the Watch target; changes are published under
+	// mu, so a subscriber's queue order is the mutation order.
+	hub   *mib.ChangeHub
+	entry oid.OID
 }
 
 // NewRollup returns a rollup whose keys default to def (nil = Latest).
@@ -325,7 +338,10 @@ func (r *Rollup) SetCombiner(key string, c Combiner) {
 		r.combiners[key] = c
 	}
 	if k, ok := r.keys[key]; ok {
-		k.combined = r.combineLocked(key, k)
+		if next := r.combineLocked(key, k); next != k.combined {
+			k.combined = next
+			r.publishLocked(r.posLocked(key))
+		}
 	}
 }
 
@@ -373,45 +389,53 @@ func (r *Rollup) foldLocked(key string, k *rollupKey, prev MemberValue, had bool
 	return r.combineLocked(key, k)
 }
 
-// OnChange registers fn to run (outside the rollup lock) after any
-// accepted change to a combined value — a Report that moved a key, or a
-// member drop that did. The federation MIB bridge uses this to publish
-// rollup-table resets into a tree's change hub, driving incremental
-// refresh of federation-scoped views at the parent.
-func (r *Rollup) OnChange(fn func()) {
+// Watch registers the change hub and the rollup table's entry prefix
+// under which row changes are published, in the idiom of
+// mib.MemRows.Watch: one target, replaced by a later Watch (a nil hub
+// stops publishing). A change to an
+// existing key's row is one ChangeRow at its 1-based position; a key
+// insert or delete shifts positions and is one ChangeReset.
+func (r *Rollup) Watch(hub *mib.ChangeHub, table oid.OID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.onChange = append(r.onChange, fn)
+	r.hub, r.entry = hub, table.Clone()
 }
 
-// notify runs the change callbacks; callers must not hold r.mu.
-func (r *Rollup) notify() {
-	r.mu.Lock()
-	fns := r.onChange
-	r.mu.Unlock()
-	for _, fn := range fns {
-		fn()
+// publishLocked reports a change to the row at 0-based position pos,
+// or with pos < 0 that rows were renumbered. Caller holds r.mu:
+// publishing under the lock makes every subscriber's queue order equal
+// the mutation order, so a consumer re-reading rows in queue order
+// converges on the table.
+func (r *Rollup) publishLocked(pos int) {
+	if r.hub == nil || !r.hub.Active() {
+		return
 	}
+	c := mib.Change{Kind: mib.ChangeReset, Table: r.entry}
+	if pos >= 0 {
+		c.Kind, c.Index = mib.ChangeRow, oid.OID{uint32(pos + 1)}
+	}
+	r.hub.Publish(c)
+}
+
+// posLocked returns key's 0-based position in r.sorted, or where it
+// would be inserted.
+func (r *Rollup) posLocked(key string) int {
+	return sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i].name >= key })
 }
 
 // Report merges one member report and returns the key's combined value
-// with whether it changed.
+// with whether it changed. The key's table row is published whenever
+// any of its cells moves — the value, or the contributor count when a
+// new member reports a value that leaves the combination unchanged.
 func (r *Rollup) Report(member, key, value string, timeMS int64) (combined string, changed bool) {
-	combined, changed = r.report(member, key, value, timeMS)
-	if changed {
-		r.notify()
-	}
-	return combined, changed
-}
-
-func (r *Rollup) report(member, key, value string, timeMS int64) (combined string, changed bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.stats.Reports++
 	k, ok := r.keys[key]
 	if !ok {
-		k = &rollupKey{vals: make(map[string]MemberValue)}
+		k = &rollupKey{name: key, vals: make(map[string]MemberValue)}
 		r.keys[key] = k
+		r.sorted = slices.Insert(r.sorted, r.posLocked(key), k)
 	}
 	prev, had := k.vals[member]
 	nv := MemberValue{Member: member, Value: value, TimeMS: timeMS}
@@ -427,6 +451,12 @@ func (r *Rollup) report(member, key, value string, timeMS int64) (combined strin
 	if changed {
 		k.updates++
 		k.updatedAt = time.Now()
+	}
+	switch {
+	case !ok:
+		r.publishLocked(-1)
+	case changed || !had:
+		r.publishLocked(r.posLocked(key))
 	}
 	return next, changed
 }
@@ -444,37 +474,44 @@ type KeyUpdate struct {
 // failure detector declares it dead — and returns the keys whose
 // combined values changed so the node can re-publish them.
 func (r *Rollup) DropMember(member string) []KeyUpdate {
-	out := r.dropMember(member)
-	if len(out) > 0 {
-		r.notify()
-	}
-	return out
-}
-
-func (r *Rollup) dropMember(member string) []KeyUpdate {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []KeyUpdate
-	for key, k := range r.keys {
+	var touched []int // new 0-based positions of rows that lost a contributor
+	shifted := false  // a key lost its last contributor: rows renumber
+	kept := r.sorted[:0]
+	for _, k := range r.sorted {
 		prev, ok := k.vals[member]
 		if !ok {
+			kept = append(kept, k)
 			continue
 		}
 		delete(k.vals, member)
 		if len(k.vals) == 0 {
-			delete(r.keys, key)
-			out = append(out, KeyUpdate{Key: key, Removed: true})
+			delete(r.keys, k.name)
+			shifted = true
+			out = append(out, KeyUpdate{Key: k.name, Removed: true})
 			continue
 		}
-		next := r.foldLocked(key, k, prev, true, MemberValue{}, false)
+		touched = append(touched, len(kept))
+		kept = append(kept, k)
+		next := r.foldLocked(k.name, k, prev, true, MemberValue{}, false)
 		if next != k.combined {
 			k.combined = next
 			k.updates++
 			k.updatedAt = time.Now()
-			out = append(out, KeyUpdate{Key: key, Value: next})
+			out = append(out, KeyUpdate{Key: k.name, Value: next})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	clear(r.sorted[len(kept):])
+	r.sorted = kept
+	if shifted {
+		r.publishLocked(-1)
+		return out
+	}
+	for _, pos := range touched {
+		r.publishLocked(pos)
+	}
 	return out
 }
 
@@ -489,19 +526,23 @@ func (r *Rollup) Stats() RollupStats {
 func (r *Rollup) Rows() []RollupRow {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]RollupRow, 0, len(r.keys))
-	for key, k := range r.keys {
-		out = append(out, RollupRow{
-			Key:          key,
-			Value:        k.combined,
-			Combiner:     r.combinerFor(key).Name(),
-			Contributors: len(k.vals),
-			Updates:      k.updates,
-			UpdatedAt:    k.updatedAt,
-		})
+	out := make([]RollupRow, len(r.sorted))
+	for i, k := range r.sorted {
+		out[i] = r.rowLocked(k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
+}
+
+// rowLocked renders one key as a RollupRow (caller holds r.mu).
+func (r *Rollup) rowLocked(k *rollupKey) RollupRow {
+	return RollupRow{
+		Key:          k.name,
+		Value:        k.combined,
+		Combiner:     r.combinerFor(k.name).Name(),
+		Contributors: len(k.vals),
+		Updates:      k.updates,
+		UpdatedAt:    k.updatedAt,
+	}
 }
 
 // Value returns the combined value for key, if present.
@@ -517,6 +558,7 @@ func (r *Rollup) Value(key string) (string, bool) {
 
 // String renders a short rollup summary for logs.
 func (r *Rollup) String() string {
-	rows := r.Rows()
-	return fmt.Sprintf("rollup(%d keys)", len(rows))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return fmt.Sprintf("rollup(%d keys)", len(r.sorted))
 }

@@ -89,7 +89,7 @@ func (h *ChangeHub) Subscribe(depth int) *ChangeSub {
 	if depth <= 0 {
 		depth = 1024
 	}
-	s := &ChangeSub{hub: h, ch: make(chan Change, depth)}
+	s := &ChangeSub{hub: h, ch: make(chan Change, depth), wake: make(chan struct{}, 1)}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	cur := h.subs.Load()
@@ -106,12 +106,13 @@ func (h *ChangeHub) Subscribe(depth int) *ChangeSub {
 type ChangeSub struct {
 	hub    *ChangeHub
 	ch     chan Change
+	wake   chan struct{} // cap 1: "the queue may be non-empty"
 	lost   atomic.Uint64
 	closed atomic.Bool
 }
 
 // offer enqueues c, dropping the oldest queued change (and counting it)
-// when the queue is full.
+// when the queue is full, then raises the wake signal.
 func (s *ChangeSub) offer(c Change) {
 	if s.closed.Load() {
 		return
@@ -119,6 +120,10 @@ func (s *ChangeSub) offer(c Change) {
 	for {
 		select {
 		case s.ch <- c:
+			select {
+			case s.wake <- struct{}{}:
+			default:
+			}
 			return
 		default:
 		}
@@ -130,8 +135,11 @@ func (s *ChangeSub) offer(c Change) {
 	}
 }
 
-// C returns the receive side of the subscriber's queue.
-func (s *ChangeSub) C() <-chan Change { return s.ch }
+// Wake returns a signal raised after each enqueue; one pending signal
+// stands for any number of queued changes. A consumer waits on it and
+// then drains with Next under its own lock, so no change is ever held
+// outside the queue where a concurrent drainer could miss it.
+func (s *ChangeSub) Wake() <-chan struct{} { return s.wake }
 
 // Next pops one queued change without blocking.
 func (s *ChangeSub) Next() (Change, bool) {

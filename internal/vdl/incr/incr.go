@@ -277,8 +277,8 @@ func (a *IncrMCVA) applyRowLocked(t *baseTable, key string, old, cur *brow) {
 }
 
 // diffTableLocked rescans a whole table (ChangeReset events — e.g. the
-// federation rollup, whose 1-based row positions shift on any change)
-// and folds the per-row differences.
+// federation rollup, whose 1-based row positions shift when a key is
+// inserted or deleted) and folds the per-row differences.
 func (a *IncrMCVA) diffTableLocked(t *baseTable) int {
 	fresh := t.scan(a.tree)
 	type rowChange struct {
@@ -351,9 +351,10 @@ func (a *IncrMCVA) Start() {
 			select {
 			case <-stop:
 				return
-			case c := <-a.sub.C():
+			case <-a.sub.Wake():
+				// Changes are popped only under a.mu, so a concurrent
+				// Query either folds them itself or waits for this pump.
 				a.mu.Lock()
-				a.applyLocked(c)
 				a.pumpLocked()
 				a.mu.Unlock()
 			}
