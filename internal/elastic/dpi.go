@@ -74,7 +74,6 @@ func (d *DPI) run(ctx context.Context, args []dpl.Value) {
 	d.result = v
 	d.err = err
 	d.mu.Unlock()
-	close(d.done)
 	payload := dpl.FormatValue(v)
 	if err != nil {
 		payload = "error: " + err.Error()
@@ -92,6 +91,9 @@ func (d *DPI) run(ctx context.Context, args []dpl.Value) {
 	}
 	p.tracer.Record(d.ID, obs.StageExit, payload, elapsed)
 	p.emit(Event{DPI: d.ID, Kind: EventExit, Payload: payload, Time: p.clock.Now(), Principal: d.principal})
+	// Done() waiters wake only once the exit is fully accounted: live
+	// counts, panic counter, crash and exit spans, and the exit event.
+	close(d.done)
 	if d.sup != nil {
 		// Runs before this goroutine's wg slot releases, so restart
 		// timers register with the WaitGroup race-free against Stop.

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"mbd/internal/dpl"
 	"mbd/internal/elastic"
 	"mbd/internal/obs"
 	"mbd/internal/rds"
@@ -142,8 +141,8 @@ func (n *Node) PeerBundleStage(ctx context.Context, principal, lineage, hash str
 	n.met.bundleStageBytes.Add(self.ArtifactBytes)
 
 	res := &rds.StageResult{Lineage: lineage, Hash: hash, Outcomes: []rds.StageOutcome{self}}
-	for _, outs := range fanBundle(n,
-		func(client *rds.Client, t peerTarget) ([]rds.StageOutcome, error) {
+	res.Outcomes = append(res.Outcomes, fanMembers(n,
+		func(client *rds.Client) ([]rds.StageOutcome, error) {
 			// Probe-first delta push: only an unknown-bundle refusal
 			// costs the payload bytes.
 			sub, err := client.PeerBundleStage(ctx, lineage, hash, nil)
@@ -154,12 +153,7 @@ func (n *Node) PeerBundleStage(ctx context.Context, principal, lineage, hash str
 				return nil, err
 			}
 			return sub.Outcomes, nil
-		},
-		func(t peerTarget, err error) rds.StageOutcome {
-			return rds.StageOutcome{Member: t.name, Domain: t.domain, Addr: t.addr, Err: "transport: " + err.Error()}
-		}) {
-		res.Outcomes = append(res.Outcomes, outs...)
-	}
+		}, peerTarget.failedStage)...)
 	n.tracer.Record(lineage, obs.StageFanout,
 		fmt.Sprintf("bundle-stage hash=%.12s staged=%d/%d bytes=%d",
 			hash, res.Staged(), len(res.Outcomes), res.TransferredBytes()),
@@ -241,19 +235,14 @@ func (n *Node) PeerBundleActivate(ctx context.Context, principal, lineage, hash 
 		return res, nil
 	}
 	n.met.bundleActivations.Inc()
-	for _, outs := range fanBundle(n,
-		func(client *rds.Client, t peerTarget) ([]rds.FanoutOutcome, error) {
+	res.Outcomes = append(res.Outcomes, fanMembers(n,
+		func(client *rds.Client) ([]rds.FanoutOutcome, error) {
 			sub, err := client.PeerBundleActivate(ctx, lineage, hash)
 			if err != nil {
 				return nil, err
 			}
 			return sub.Outcomes, nil
-		},
-		func(t peerTarget, err error) rds.FanoutOutcome {
-			return rds.FanoutOutcome{Member: t.name, Domain: t.domain, Addr: t.addr, Err: "transport: " + err.Error()}
-		}) {
-		res.Outcomes = append(res.Outcomes, outs...)
-	}
+		}, peerTarget.failedFanout)...)
 	n.tracer.Record(lineage, obs.StageFanout,
 		fmt.Sprintf("bundle-activate hash=%.12s accepted=%d rejected=%d",
 			hash, res.Accepted(), res.Rejected()),
@@ -293,11 +282,7 @@ func (n *Node) activateLocal(principal, lineage, hash string, sb *stagedBundle) 
 		if it.Entry == "" {
 			continue
 		}
-		vals := make([]dpl.Value, 0, len(it.Args))
-		for _, a := range it.Args {
-			vals = append(vals, rds.ParseArg(a))
-		}
-		inst, err := n.cfg.Proc.Instantiate(principal, it.DP, it.Entry, vals...)
+		inst, err := n.cfg.Proc.Instantiate(principal, it.DP, it.Entry, rds.ParseArgs(it.Args)...)
 		if err != nil {
 			return fail(fmt.Errorf("starting %s.%s: %w", it.DP, it.Entry, err))
 		}
@@ -315,49 +300,4 @@ func (n *Node) activateLocal(principal, lineage, hash string, sb *stagedBundle) 
 	out.OK = true
 	out.DPI = strings.Join(started, ",")
 	return out
-}
-
-// peerTarget is one live member a bundle operation fans out to.
-type peerTarget struct{ name, domain, addr string }
-
-// fanBundle runs op concurrently against every member not declared
-// dead, converting transport failures into a single failed outcome per
-// member so the caller always learns every hop's fate.
-func fanBundle[T any](n *Node, op func(*rds.Client, peerTarget) ([]T, error), failed func(peerTarget, error) T) [][]T {
-	var targets []peerTarget
-	n.mu.Lock()
-	for _, m := range n.members {
-		if m.state != MemberDead {
-			targets = append(targets, peerTarget{m.name, m.domain, m.addr})
-		}
-	}
-	n.mu.Unlock()
-	sort.Slice(targets, func(i, j int) bool { return targets[i].name < targets[j].name })
-
-	outs := make([][]T, len(targets))
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		wg.Add(1)
-		go func(i int, t peerTarget) {
-			defer wg.Done()
-			if t.addr == "" {
-				outs[i] = []T{failed(t, errors.New("member advertised no address"))}
-				return
-			}
-			client, err := n.dialPeer(t.addr)
-			if err != nil {
-				outs[i] = []T{failed(t, err)}
-				return
-			}
-			defer client.Close()
-			sub, err := op(client, t)
-			if err != nil {
-				outs[i] = []T{failed(t, err)}
-				return
-			}
-			outs[i] = sub
-		}(i, t)
-	}
-	wg.Wait()
-	return outs
 }

@@ -149,20 +149,17 @@ func (c *childLink) reseed() {
 	}
 }
 
-// maxFrameReports caps the rollup deltas coalesced into one sync frame
-// (matching the server-side decode bound); a deeper backlog rides the
-// immediately-kicked next frame.
-const maxFrameReports = 4096
-
-// sync sends one coalesced frame — heartbeat + pending rollup deltas +
-// bundle inventory — and clears the deltas it delivered. Entries that
-// changed while the frame was in flight stay pending, so the parent
-// still converges to the latest values.
+// sync sends one coalesced frame — heartbeat + up to
+// rds.MaxSyncReports pending rollup deltas + bundle inventory — and
+// clears the deltas it delivered; a deeper backlog rides the
+// immediately-kicked next frame. Entries that changed while the frame
+// was in flight stay pending, so the parent still converges to the
+// latest values.
 func (c *childLink) sync(ctx context.Context, client *rds.Client) error {
 	c.n.mu.Lock()
 	batch := make([]localReport, 0, len(c.pending))
 	for _, r := range c.pending {
-		if len(batch) == maxFrameReports {
+		if len(batch) == rds.MaxSyncReports {
 			break
 		}
 		batch = append(batch, r)
@@ -186,7 +183,7 @@ func (c *childLink) sync(ctx context.Context, client *rds.Client) error {
 			delete(c.pending, r.key)
 		}
 	}
-	backlog := len(c.pending) > 0 && len(batch) == maxFrameReports
+	backlog := len(c.pending) > 0 && len(batch) == rds.MaxSyncReports
 	c.n.mu.Unlock()
 	if backlog {
 		select {

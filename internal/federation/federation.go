@@ -66,8 +66,8 @@ func (s MemberState) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// ErrUnknownMember answers a heartbeat or report from a member this
-// node does not know — after a root restart, or after the member was
+// ErrUnknownMember answers a sync frame from a member this node does
+// not know — after a root restart, or after the member was
 // declared dead. The child reacts by re-joining (see child.go), which
 // makes membership survive either side restarting.
 var ErrUnknownMember = errors.New("federation: unknown member")
@@ -465,48 +465,6 @@ func (n *Node) PeerJoin(principal, memberName, domain, addr string) error {
 	return nil
 }
 
-// PeerHeartbeat implements rds.PeerHandler: refresh a member's
-// liveness. Unknown (including dead-and-dropped after a restart)
-// members are refused so the child re-joins.
-func (n *Node) PeerHeartbeat(principal, memberName string) error {
-	n.mu.Lock()
-	m, ok := n.members[memberName]
-	if ok && m.state != MemberDead {
-		m.lastSeen = time.Now()
-		m.state = MemberAlive
-	}
-	n.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownMember, memberName)
-	}
-	if m.state == MemberDead {
-		return fmt.Errorf("%w: %s (declared dead; re-join)", ErrUnknownMember, memberName)
-	}
-	n.met.heartbeats.Inc()
-	return nil
-}
-
-// PeerReport implements rds.PeerHandler: merge one member report into
-// the rollup. Reports double as liveness evidence. Unknown members are
-// refused so the child re-joins before re-sending.
-func (n *Node) PeerReport(principal, memberName, key, value string, timeMS int64) error {
-	n.mu.Lock()
-	m, ok := n.members[memberName]
-	if ok && m.state != MemberDead {
-		m.lastSeen = time.Now()
-		m.state = MemberAlive
-		m.reports++
-	}
-	dead := ok && m.state == MemberDead
-	n.mu.Unlock()
-	if !ok || dead {
-		return fmt.Errorf("%w: %s", ErrUnknownMember, memberName)
-	}
-	n.met.reports.Inc()
-	n.applyReport(memberName, key, value, timeMS)
-	return nil
-}
-
 // PeerSync implements rds.PeerHandler: apply one batched child frame —
 // heartbeat liveness, every carried rollup delta, and the member's
 // bundle inventory — in a single round trip. Unknown members are
@@ -572,30 +530,21 @@ func (n *Node) Fanout(ctx context.Context, principal, dp, lang, source, entry st
 		}
 	}
 
-	type target struct{ name, domain, addr string }
-	var targets []target
-	n.mu.Lock()
-	for _, m := range n.members {
-		if m.state != MemberDead {
-			targets = append(targets, target{m.name, m.domain, m.addr})
-		}
-	}
-	n.mu.Unlock()
-	sort.Slice(targets, func(i, j int) bool { return targets[i].name < targets[j].name })
-
-	outs := make([][]rds.FanoutOutcome, len(targets))
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		wg.Add(1)
-		go func(i int, t target) {
-			defer wg.Done()
-			outs[i] = n.cascade(ctx, t.name, t.domain, t.addr, dp, shipLang, shipPayload, entry, args)
-		}(i, t)
-	}
-	wg.Wait()
-	for _, o := range outs {
-		res.Outcomes = append(res.Outcomes, o...)
-	}
+	res.Outcomes = append(res.Outcomes, fanMembers(n,
+		func(client *rds.Client) ([]rds.FanoutOutcome, error) {
+			var sub *rds.FanoutResult
+			var err error
+			if shipLang == rds.LangCompiled {
+				n.met.bytecodeShips.Inc()
+				sub, err = client.PeerDelegateCompiled(ctx, dp, []byte(shipPayload), entry, args...)
+			} else {
+				sub, err = client.PeerDelegate(ctx, dp, shipPayload, entry, args...)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return sub.Outcomes, nil
+		}, peerTarget.failedFanout)...)
 	for _, o := range res.Outcomes {
 		if o.OK {
 			n.met.fanoutAccepted.Inc()
@@ -625,11 +574,7 @@ func (n *Node) localHop(principal, dp, lang, source, entry string, args []string
 		return out
 	}
 	if entry != "" {
-		vals := make([]dpl.Value, 0, len(args))
-		for _, a := range args {
-			vals = append(vals, rds.ParseArg(a))
-		}
-		inst, err := n.cfg.Proc.Instantiate(principal, dp, entry, vals...)
+		inst, err := n.cfg.Proc.Instantiate(principal, dp, entry, rds.ParseArgs(args)...)
 		if err != nil {
 			out.Err = err.Error()
 			return out
@@ -640,34 +585,66 @@ func (n *Node) localHop(principal, dp, lang, source, entry string, args []string
 	return out
 }
 
-// cascade forwards the delegation to one member's subtree and returns
-// its outcomes (a single transport-failure outcome when unreachable).
-func (n *Node) cascade(ctx context.Context, name, domain, addr, dp, lang, payload, entry string, args []string) []rds.FanoutOutcome {
-	fail := func(err error) []rds.FanoutOutcome {
-		return []rds.FanoutOutcome{{
-			Member: name, Domain: domain, Addr: addr,
-			Err: "transport: " + err.Error(),
-		}}
+// peerTarget is one live member a fan-out reaches.
+type peerTarget struct{ name, domain, addr string }
+
+// failedFanout and failedStage are the single failed outcome standing
+// for a member whose subtree could not be reached.
+func (t peerTarget) failedFanout(err error) rds.FanoutOutcome {
+	return rds.FanoutOutcome{Member: t.name, Domain: t.domain, Addr: t.addr, Err: "transport: " + err.Error()}
+}
+
+func (t peerTarget) failedStage(err error) rds.StageOutcome {
+	return rds.StageOutcome{Member: t.name, Domain: t.domain, Addr: t.addr, Err: "transport: " + err.Error()}
+}
+
+// fanMembers runs op concurrently against every member not declared
+// dead, each over its own one-shot client, and returns the outcomes in
+// member-name order. A member that advertised no address, cannot be
+// dialled, or fails op contributes the single outcome failed builds, so
+// the caller always learns every hop's fate. Cascaded delegation and
+// both bundle phases push down the tree through it.
+func fanMembers[T any](n *Node, op func(*rds.Client) ([]T, error), failed func(peerTarget, error) T) []T {
+	var targets []peerTarget
+	n.mu.Lock()
+	for _, m := range n.members {
+		if m.state != MemberDead {
+			targets = append(targets, peerTarget{m.name, m.domain, m.addr})
+		}
 	}
-	if addr == "" {
-		return fail(errors.New("member advertised no address"))
+	n.mu.Unlock()
+	sort.Slice(targets, func(i, j int) bool { return targets[i].name < targets[j].name })
+
+	outs := make([][]T, len(targets))
+	var wg sync.WaitGroup
+	for i, t := range targets {
+		wg.Add(1)
+		go func(i int, t peerTarget) {
+			defer wg.Done()
+			if t.addr == "" {
+				outs[i] = []T{failed(t, errors.New("member advertised no address"))}
+				return
+			}
+			client, err := n.dialPeer(t.addr)
+			if err != nil {
+				outs[i] = []T{failed(t, err)}
+				return
+			}
+			defer client.Close()
+			sub, err := op(client)
+			if err != nil {
+				outs[i] = []T{failed(t, err)}
+				return
+			}
+			outs[i] = sub
+		}(i, t)
 	}
-	client, err := n.dialPeer(addr)
-	if err != nil {
-		return fail(err)
+	wg.Wait()
+	var flat []T
+	for _, o := range outs {
+		flat = append(flat, o...)
 	}
-	defer client.Close()
-	var sub *rds.FanoutResult
-	if lang == rds.LangCompiled {
-		n.met.bytecodeShips.Inc()
-		sub, err = client.PeerDelegateCompiled(ctx, dp, []byte(payload), entry, args...)
-	} else {
-		sub, err = client.PeerDelegate(ctx, dp, payload, entry, args...)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	return sub.Outcomes
+	return flat
 }
 
 // dialPeer opens a one-shot client to a peer address.

@@ -231,11 +231,37 @@ func TestHeartbeatUnknownMemberTriggersRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(n.cfg.Proc.Stop)
-	if err := n.PeerHeartbeat("federation", "ghost"); !isUnknownMember(err) {
+	report := &rds.SyncBatch{Reports: []rds.SyncReport{{Key: "k", Value: "1", TimeMS: 1}}}
+	if err := n.PeerSync("federation", "ghost", &rds.SyncBatch{}); !isUnknownMember(err) {
 		t.Fatalf("heartbeat from unknown member: %v, want ErrUnknownMember", err)
 	}
-	if err := n.PeerReport("federation", "ghost", "k", "1", 1); !isUnknownMember(err) {
+	if err := n.PeerSync("federation", "ghost", report); !isUnknownMember(err) {
 		t.Fatalf("report from unknown member: %v, want ErrUnknownMember", err)
+	}
+
+	// A member the detector declared dead is refused the same way until
+	// it re-joins, and none of its reports reach the rollup meanwhile.
+	if err := n.PeerJoin("federation", "leaf", "lan", "x"); err != nil {
+		t.Fatal(err)
+	}
+	later := time.Now().Add(time.Hour)
+	n.sweep(later) // alive -> suspect
+	n.sweep(later) // suspect -> dead
+	if st, _ := memberState(n, "leaf"); st != "dead" {
+		t.Fatalf("leaf state = %q, want dead", st)
+	}
+	if err := n.PeerSync("federation", "leaf", report); !isUnknownMember(err) ||
+		!strings.Contains(err.Error(), "declared dead") {
+		t.Fatalf("sync from dead member: %v, want declared-dead ErrUnknownMember", err)
+	}
+	if _, ok := n.Rollup().Value("k"); ok {
+		t.Fatal("dead member's report reached the rollup")
+	}
+	if err := n.PeerJoin("federation", "leaf", "lan", "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.PeerSync("federation", "leaf", report); err != nil {
+		t.Fatalf("sync after re-join: %v", err)
 	}
 	if err := n.PeerJoin("federation", "root", "d", "x"); err == nil {
 		t.Fatal("self-named member accepted")
@@ -399,7 +425,9 @@ func TestFederationMIBWalk(t *testing.T) {
 	if err := n.PeerJoin("federation", "leaf-a", "lan-a", "127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.PeerReport("federation", "leaf-a", "load", "9", 1); err != nil {
+	if err := n.PeerSync("federation", "leaf-a", &rds.SyncBatch{Reports: []rds.SyncReport{
+		{Key: "load", Value: "9", TimeMS: 1},
+	}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -314,9 +314,10 @@ type SyncBatch struct {
 	Bundles []BundleStatus
 }
 
-// maxSyncReports bounds decoded sync batches defensively (also the
-// per-frame coalescing limit — a deeper backlog rides the next frame).
-const maxSyncReports = 4096
+// MaxSyncReports bounds decoded sync batches defensively. It is also
+// the child's per-frame coalescing limit: a deeper backlog rides the
+// next frame.
+const MaxSyncReports = 4096
 
 // AppendEncode serializes b with BER appended to dst.
 func (b *SyncBatch) AppendEncode(dst []byte) []byte {
@@ -360,7 +361,7 @@ func DecodeSyncBatch(raw []byte) (*SyncBatch, error) {
 		return nil, err
 	}
 	for !rr.Empty() {
-		if len(out.Reports) >= maxSyncReports {
+		if len(out.Reports) >= MaxSyncReports {
 			return nil, errors.New("rds: too many sync reports")
 		}
 		one, err := rr.EnterSeq(ber.TagSequence)
@@ -386,7 +387,7 @@ func DecodeSyncBatch(raw []byte) (*SyncBatch, error) {
 		return nil, err
 	}
 	for !br.Empty() {
-		if len(out.Bundles) >= maxSyncReports {
+		if len(out.Bundles) >= MaxSyncReports {
 			return nil, errors.New("rds: too many bundle statuses")
 		}
 		one, err := br.EnterSeq(ber.TagSequence)

@@ -25,8 +25,13 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(frame)
 	}
-	// The federation peer operations (committed corpus: seed_peer_*).
-	for _, m := range peerSeedMessages() {
+	// The federation peer operations (committed corpus: seed_peer_*),
+	// then the retired peer-heartbeat (13) and peer-report (15) codes,
+	// which seed the decoder's reject path.
+	msgs := append(peerSeedMessages(),
+		&Message{Op: 13, Seq: 11, Principal: "federation", Name: "lan-a"},
+		&Message{Op: 15, Seq: 12, Name: "lan-a", Entry: "octet-rate", Payload: []byte("8192"), TimeMS: 1234})
+	for _, m := range msgs {
 		frame, err := m.AppendFrame(nil)
 		if err != nil {
 			f.Fatal(err)

@@ -58,25 +58,23 @@ const (
 	// (Name=member, Entry=member's own domain, Payload=the member's
 	// advertised RDS address for cascaded delegation).
 	OpPeerJoin
-	// OpPeerHeartbeat refreshes a member's liveness at its domain root
-	// (Name=member). A root that does not recognize the member answers
-	// with an unknown-member error, telling the child to re-join.
-	OpPeerHeartbeat
+	// opRetiredHeartbeat (13) was peer-heartbeat, subsumed by
+	// OpPeerSync. The code stays reserved and Decode rejects it.
+	opRetiredHeartbeat
 	// OpPeerDelegate cascades a delegation through the domain tree
 	// (Name=dp, Lang, Payload=source, Entry=optional entry point to
 	// instantiate after admission, Args=its arguments). The reply's
 	// Payload carries a BER-encoded FanoutResult collecting every
 	// member's accept/reject outcome.
 	OpPeerDelegate
-	// OpPeerReport pushes one member-emitted report upstream for rollup
-	// (Name=member, Entry=rollup key, Payload=value, TimeMS=member
-	// clock).
-	OpPeerReport
+	// opRetiredReport (15) was peer-report, subsumed by OpPeerSync. The
+	// code stays reserved and Decode rejects it.
+	opRetiredReport
 	// OpPeerSync is the batched child→parent frame: one datagram-sized
 	// message carrying the member's heartbeat, every pending rollup
 	// delta, and the bundle hashes it runs (Name=member, Payload=a
-	// BER-encoded SyncBatch). It subsumes one OpPeerHeartbeat plus N
-	// OpPeerReport round trips.
+	// BER-encoded SyncBatch). An unknown member is answered with an
+	// unknown-member error, telling the child to re-join.
 	OpPeerSync
 	// OpPeerBundleStage stages a content-addressed golden DP bundle
 	// (Name=lineage, Entry=sha256 hex of the canonical bundle encoding,
@@ -100,7 +98,7 @@ const (
 )
 
 // opMax is the highest assigned operation code; Decode rejects anything
-// beyond it.
+// beyond it and the retired codes below it.
 const opMax = OpView
 
 // String names the op.
@@ -130,12 +128,8 @@ func (o Op) String() string {
 		return "stats"
 	case OpPeerJoin:
 		return "peer-join"
-	case OpPeerHeartbeat:
-		return "peer-heartbeat"
 	case OpPeerDelegate:
 		return "peer-delegate"
-	case OpPeerReport:
-		return "peer-report"
 	case OpPeerSync:
 		return "peer-sync"
 	case OpPeerBundleStage:
@@ -281,7 +275,7 @@ func Decode(b []byte) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if op <= 0 || op > int64(opMax) {
+	if op <= 0 || op > int64(opMax) || Op(op) == opRetiredHeartbeat || Op(op) == opRetiredReport {
 		return nil, fmt.Errorf("rds: unknown op %d", op)
 	}
 	m.Op = Op(op)

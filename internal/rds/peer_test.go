@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -43,8 +44,6 @@ func TestPeerMessageRoundTrip(t *testing.T) {
 func peerSeedMessages() []*Message {
 	return []*Message{
 		{Op: OpPeerJoin, Seq: 10, Principal: "federation", Name: "lan-a", Entry: "campus", Payload: []byte("127.0.0.1:5501")},
-		{Op: OpPeerHeartbeat, Seq: 11, Principal: "federation", Name: "lan-a"},
-		{Op: OpPeerReport, Seq: 12, Name: "lan-a", Entry: "octet-rate", Payload: []byte("8192"), TimeMS: 1234},
 		{Op: OpPeerDelegate, Seq: 13, Principal: "noc", Name: "agent", Lang: "dpl",
 			Payload: []byte("func main() { return 1; }"), Entry: "main", Args: []string{"3", "s:x"}},
 		{Op: OpReply, Seq: 13, OK: true, Payload: (&FanoutResult{
@@ -77,7 +76,7 @@ func TestWritePeerFuzzCorpus(t *testing.T) {
 		t.Skip("set RDS_WRITE_CORPUS=1 to rewrite the committed corpus")
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeFrame")
-	names := []string{"seed_peer_join", "seed_peer_heartbeat", "seed_peer_report", "seed_peer_delegate", "seed_peer_fanout_reply", "seed_peer_sync", "seed_peer_bundle_stage", "seed_peer_bundle_activate"}
+	names := []string{"seed_peer_join", "seed_peer_delegate", "seed_peer_fanout_reply", "seed_peer_sync", "seed_peer_bundle_stage", "seed_peer_bundle_activate"}
 	msgs := peerSeedMessages()
 	for i, m := range msgs {
 		frame, err := m.AppendFrame(nil)
@@ -87,6 +86,45 @@ func TestWritePeerFuzzCorpus(t *testing.T) {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame)
 		if err := os.WriteFile(filepath.Join(dir, names[i]), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestDecodeRejectsRetiredPeerOps: codes 13 (peer-heartbeat) and 15
+// (peer-report) stay reserved after OpPeerSync subsumed them, so a
+// frame carrying either — freshly built or one of the committed corpus
+// seeds a pre-sync child would send — must fail to decode.
+func TestDecodeRejectsRetiredPeerOps(t *testing.T) {
+	frames := map[string][]byte{}
+	for _, op := range []Op{13, 15} {
+		frame, err := (&Message{Op: op, Seq: 1, Principal: "federation", Name: "lan-a"}).AppendFrame(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[op.String()] = frame
+	}
+	for _, name := range []string{"seed_peer_heartbeat", "seed_peer_report"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeFrame", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
+		if !ok || !strings.HasSuffix(lit, ")") {
+			t.Fatalf("%s: not a go fuzz corpus file", name)
+		}
+		frame, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		frames[name] = []byte(frame)
+	}
+	for name, frame := range frames {
+		body, err := ReadFrame(strings.NewReader(string(frame)))
+		if err != nil {
+			t.Fatalf("%s: frame unreadable: %v", name, err)
+		}
+		if m, err := Decode(body); err == nil {
+			t.Fatalf("%s: Decode accepted retired op %s", name, m.Op)
 		}
 	}
 }
@@ -145,7 +183,8 @@ func FuzzFanoutResult(f *testing.F) {
 }
 
 // TestPeerOpsWithoutHandler: a server with no PeerHandler refuses all
-// four peer operations with the federation-disabled error.
+// five peer operations and the federation status view with the
+// federation-disabled error.
 func TestPeerOpsWithoutHandler(t *testing.T) {
 	proc := elastic.NewProcess(elastic.Config{})
 	t.Cleanup(proc.Stop)
@@ -159,9 +198,7 @@ func TestPeerOpsWithoutHandler(t *testing.T) {
 	defer cancel()
 
 	for name, call := range map[string]func() error{
-		"join":      func() error { return c.PeerJoin(ctx, "m", "d", "addr") },
-		"heartbeat": func() error { return c.PeerHeartbeat(ctx, "m") },
-		"report":    func() error { return c.PeerReport(ctx, "m", "k", "v", 1) },
+		"join": func() error { return c.PeerJoin(ctx, "m", "d", "addr") },
 		"delegate": func() error {
 			_, err := c.PeerDelegate(ctx, "dp", "func main() {}", "")
 			return err
@@ -192,7 +229,6 @@ type fakePeerHandler struct {
 	mu        sync.Mutex
 	joins     []string
 	beats     int
-	report    string
 	synced    []string
 	staged    map[string][]byte // hash -> bundle payload
 	activated []string
@@ -202,23 +238,6 @@ func (h *fakePeerHandler) PeerJoin(principal, member, domain, addr string) error
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.joins = append(h.joins, fmt.Sprintf("%s/%s/%s/%s", principal, member, domain, addr))
-	return nil
-}
-
-func (h *fakePeerHandler) PeerHeartbeat(principal, member string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if member == "stranger" {
-		return errors.New("federation: unknown member stranger")
-	}
-	h.beats++
-	return nil
-}
-
-func (h *fakePeerHandler) PeerReport(principal, member, key, value string, timeMS int64) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.report = fmt.Sprintf("%s:%s=%s@%d", member, key, value, timeMS)
 	return nil
 }
 
@@ -296,15 +315,6 @@ func TestPeerOpsDispatch(t *testing.T) {
 	if err := c.PeerJoin(ctx, "lan-a", "campus", "127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PeerHeartbeat(ctx, "lan-a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.PeerHeartbeat(ctx, "stranger"); err == nil || !strings.Contains(err.Error(), "unknown member") {
-		t.Fatalf("stranger heartbeat err = %v, want unknown member", err)
-	}
-	if err := c.PeerReport(ctx, "lan-a", "k", "42", 99); err != nil {
-		t.Fatal(err)
-	}
 	res, err := c.PeerDelegate(ctx, "agent", "func main() { return 1; }", "main", "3")
 	if err != nil {
 		t.Fatal(err)
@@ -369,11 +379,8 @@ func TestPeerOpsDispatch(t *testing.T) {
 	if len(h.joins) != 1 || h.joins[0] != "federation/lan-a/campus/127.0.0.1:1" {
 		t.Fatalf("joins = %v", h.joins)
 	}
-	if h.beats != 2 {
-		t.Fatalf("beats = %d, want 2 (one heartbeat + one sync)", h.beats)
-	}
-	if h.report != "lan-a:k=42@99" {
-		t.Fatalf("report = %q", h.report)
+	if h.beats != 1 {
+		t.Fatalf("beats = %d, want 1 (one accepted sync)", h.beats)
 	}
 	if len(h.synced) != 2 || h.synced[0] != "lan-a:k=43@100" || h.synced[1] != "lan-a:j=7@101" {
 		t.Fatalf("synced = %v", h.synced)

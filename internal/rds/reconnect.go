@@ -94,6 +94,11 @@ func (c *Client) reconnectLoop() {
 			c.mu.Unlock() // died right after the probe; try again
 			continue
 		}
+		// Account the reconnect before waking the requests parked on
+		// connCh, so a request that rode out the outage observes it.
+		c.reconnects.Add(1)
+		c.tracer.Record(c.principal, obs.StageReconnect,
+			fmt.Sprintf("recovered after %d attempt(s)", attempt), 0)
 		c.ready = true
 		c.reconning = false
 		if c.connCh != nil {
@@ -101,9 +106,6 @@ func (c *Client) reconnectLoop() {
 			c.connCh = nil
 		}
 		c.mu.Unlock()
-		c.reconnects.Add(1)
-		c.tracer.Record(c.principal, obs.StageReconnect,
-			fmt.Sprintf("recovered after %d attempt(s)", attempt), 0)
 		return
 	}
 }

@@ -134,11 +134,10 @@ func WithTracer(tr *obs.Tracer) ServerOption {
 }
 
 // WithPeerHandler routes the federation operations (OpPeerJoin,
-// OpPeerHeartbeat, OpPeerDelegate, OpPeerReport, OpPeerSync,
-// OpPeerBundleStage, OpPeerBundleActivate) and the OpStats
-// "federation" view to h — normally an internal/federation.Node.
-// Without one (the default) peer traffic is refused with
-// ErrNoFederation.
+// OpPeerDelegate, OpPeerSync, OpPeerBundleStage, OpPeerBundleActivate)
+// and the OpStats "federation" view to h — normally an
+// internal/federation.Node. Without one (the default) peer traffic is
+// refused with ErrNoFederation.
 func WithPeerHandler(h PeerHandler) ServerOption {
 	return func(s *Server) { s.peers = h }
 }
@@ -672,6 +671,15 @@ func ParseArg(s string) dpl.Value {
 	return s
 }
 
+// ParseArgs converts a wire argument list with ParseArg.
+func ParseArgs(args []string) []dpl.Value {
+	vals := make([]dpl.Value, len(args))
+	for i, a := range args {
+		vals[i] = ParseArg(a)
+	}
+	return vals
+}
+
 // evalTimeout bounds one-shot remote evaluations; a runaway eval must
 // not hold a connection's request loop forever.
 const evalTimeout = 60 * time.Second
@@ -691,11 +699,7 @@ func (s *Server) dispatch(ctx context.Context, req *Message) *Message {
 		}
 		return reply(req, nil, err)
 	case OpInstantiate:
-		args := make([]dpl.Value, len(req.Args))
-		for i, a := range req.Args {
-			args[i] = ParseArg(a)
-		}
-		d, err := s.proc.Instantiate(req.Principal, req.Name, req.Entry, args...)
+		d, err := s.proc.Instantiate(req.Principal, req.Name, req.Entry, ParseArgs(req.Args)...)
 		return reply(req, func(m *Message) { m.Name = d.ID }, err)
 	case OpControl:
 		err := s.proc.Control(req.Principal, req.Name, elastic.ControlAction(req.Entry))
@@ -717,13 +721,9 @@ func (s *Server) dispatch(ctx context.Context, req *Message) *Message {
 		err := s.proc.DeleteDP(req.Principal, req.Name)
 		return reply(req, nil, err)
 	case OpEval:
-		args := make([]dpl.Value, len(req.Args))
-		for i, a := range req.Args {
-			args[i] = ParseArg(a)
-		}
 		ectx, cancel := context.WithTimeout(ctx, evalTimeout)
 		defer cancel()
-		v, err := s.proc.Evaluate(ectx, req.Principal, "dpl", string(req.Payload), req.Entry, args...)
+		v, err := s.proc.Evaluate(ectx, req.Principal, "dpl", string(req.Payload), req.Entry, ParseArgs(req.Args)...)
 		return reply(req, func(m *Message) { m.Payload = []byte(dpl.FormatValue(v)) }, err)
 	case OpStats:
 		return s.serveStats(req)
@@ -732,18 +732,6 @@ func (s *Server) dispatch(ctx context.Context, req *Message) *Message {
 			return reply(req, nil, ErrNoFederation)
 		}
 		err := s.peers.PeerJoin(req.Principal, req.Name, req.Entry, string(req.Payload))
-		return reply(req, nil, err)
-	case OpPeerHeartbeat:
-		if s.peers == nil {
-			return reply(req, nil, ErrNoFederation)
-		}
-		err := s.peers.PeerHeartbeat(req.Principal, req.Name)
-		return reply(req, nil, err)
-	case OpPeerReport:
-		if s.peers == nil {
-			return reply(req, nil, ErrNoFederation)
-		}
-		err := s.peers.PeerReport(req.Principal, req.Name, req.Entry, string(req.Payload), req.TimeMS)
 		return reply(req, nil, err)
 	case OpPeerDelegate:
 		if s.peers == nil {
